@@ -53,20 +53,19 @@ crash:
 # BenchmarkPhaseBreakdown running every query at least 5 times and
 # writing per-phase p50/p99, the warm-cache hit ratio +
 # cached-vs-uncached medians, and the sharded-engine sweep (cluster/
-# search medians at 1/2/4 shards, merge overhead, per-shard fan-out
-# p99) from the query traces to results/bench_latest.json.
+# search medians at 1/2/4 shards) from the query traces to
+# results/bench_latest.json.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 	@echo "per-phase p50/p99 written to results/bench_latest.json"
 
-# profile captures a CPU profile of the warm Fig. 7(a)-style query mix
-# (BenchmarkSearchMix: Q2/Q4/Q10 over the shared LUBM instance) into
-# results/, keeping the test binary next to it for symbolisation.
+# profile captures CPU and heap profiles of the warm-10k benchmark
+# workload (samad over LUBM 10k, Q1-Q10 from two closed-loop clients)
+# into results/profile. The profiles cover the measured loop only —
+# set-up (data generation, index.Build) and warm-up are outside them.
 profile:
-	@mkdir -p results
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchMix' -benchtime 20x \
-		-cpuprofile results/cpu.pprof -o results/bench.test .
-	@echo "inspect with: $(GO) tool pprof results/bench.test results/cpu.pprof"
+	bash samabench/run.sh --workload warm-10k --profile results/profile
+	@echo "inspect with: $(GO) tool pprof results/profile/warm-10k-seed1.cpu.pprof"
 
 # route-smoke boots the multi-node path end-to-end: a 3-shard layout,
 # one samad per shard directory, a samad router fronting them, the

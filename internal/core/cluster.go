@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -129,9 +130,6 @@ const minAlignChunk = 16
 // alignments actually run, pages touched by the batched read, the
 // shorter-path fallback, and candidates dropped by the cluster cap.
 func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs.Span) (Cluster, error) {
-	if e.set != nil {
-		return e.buildClusterSharded(ctx, qi, q, sp)
-	}
 	ids := e.retrieve(q)
 	if len(ids) == 0 {
 		return Cluster{QueryIndex: qi, Query: q}, nil
@@ -177,7 +175,7 @@ func (e *Engine) buildCluster(ctx context.Context, qi int, q paths.Path, sp *obs
 	// unsaturated and the shorter-path fallback could still be live —
 	// which is why pruning can only skip work the cap would discard and
 	// the ranked answers stay bit-identical.
-	prune := e.pruneEnabled()
+	prune := !e.opts.testNoClusterPrune
 	wave := len(miss)
 	if prune {
 		sortMissCands(miss)
@@ -307,13 +305,6 @@ type missCand struct {
 	short bool
 }
 
-// pruneEnabled reports whether the cluster phase may stop aligning once
-// the remaining candidates' lower bounds exceed the cap'th best staged
-// cost. Compat mode computes no bounds at all, so it never prunes.
-func (e *Engine) pruneEnabled() bool {
-	return !e.opts.ClusterCompat && !e.opts.DisableClusterPruning
-}
-
 // queryConstants collects the query path's constant labels with their
 // probe masks, node and edge kinds kept apart because they price
 // differently (A vs C) in the λ lower bound.
@@ -393,9 +384,6 @@ func (e *Engine) pathsByAllLabelsCached(q paths.Path, labels []string) []index.P
 // invalidated an ID; the error propagates to the engine's restart loop,
 // which re-runs the query against the fresh state.
 func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clusterCand, error) {
-	if e.opts.ClusterCompat {
-		return e.preRankCompat(ids, q), nil
-	}
 	sums, err := e.back.Summaries(ids)
 	if err != nil {
 		return nil, err
@@ -518,51 +506,6 @@ func (e *Engine) preRank(ids []index.PathID, q paths.Path, sp *obs.Span) ([]clus
 	return out, nil
 }
 
-// preRankCompat is the legacy pre-rank, kept verbatim behind
-// Options.ClusterCompat for old-vs-new benchmarking: per-candidate
-// exact-containment postings probes (synonym matches charged as
-// missing), the narrow missing*64+deficit key (deficits ≥ 64 outrank a
-// missing constant), and no λ bounds, so downstream pruning never
-// fires.
-func (e *Engine) preRankCompat(ids []index.PathID, q paths.Path) []clusterCand {
-	budget := 2 * e.opts.maxCandidates()
-	if len(ids) > budget {
-		var constants []string
-		for _, n := range q.Nodes {
-			if n.IsConstant() {
-				constants = append(constants, n.Label())
-			}
-		}
-		for _, eLbl := range q.Edges {
-			if eLbl.IsConstant() {
-				constants = append(constants, eLbl.Label())
-			}
-		}
-		qlen := q.Length()
-		keys := make(map[index.PathID]int, len(ids))
-		for _, id := range ids {
-			missing := 0
-			for _, c := range constants {
-				if !e.back.ContainsLabel(id, c) {
-					missing++
-				}
-			}
-			deficit := 0
-			if plen := e.back.PathLength(id); plen < qlen {
-				deficit = qlen - plen
-			}
-			keys[id] = missing*64 + deficit
-		}
-		sort.SliceStable(ids, func(i, j int) bool { return keys[ids[i]] < keys[ids[j]] })
-		ids = ids[:budget]
-	}
-	out := make([]clusterCand, len(ids))
-	for i, id := range ids {
-		out[i].id = id
-	}
-	return out
-}
-
 // anyFullStaged reports whether some staged item has already aligned at
 // full length. One such item is enough to arm the short-candidate
 // barrier: the final assembly keeps shorter-than-query paths only when
@@ -627,6 +570,39 @@ func kthFullCost(staged []ClusterItem, qlen, k int, scratch []float64) ([]float6
 	}
 	sort.Float64s(costs)
 	return costs, costs[k-1], true
+}
+
+// sortClusterItems orders a cluster's items by non-decreasing cost,
+// ties by ID. Unstable on purpose: (cost, ID) is a strict total order —
+// IDs are unique — so stability buys nothing and pdqsort saves the
+// merge scratch. Because the order is total, the ranked cluster is the
+// same whichever backend (monolith or shard set) produced the items
+// and in whatever order they were staged.
+func sortClusterItems(items []ClusterItem) {
+	slices.SortFunc(items, func(a, b ClusterItem) int {
+		if a.Alignment.Cost != b.Alignment.Cost {
+			if a.Alignment.Cost < b.Alignment.Cost {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
+
+// sortMissCands orders memo misses by (λ lower bound, ID) — the
+// threshold-pruning order. Unstable for the same reason as
+// sortClusterItems: IDs are unique, so the key is a strict total order.
+func sortMissCands(miss []missCand) {
+	slices.SortFunc(miss, func(a, b missCand) int {
+		if a.bound != b.bound {
+			if a.bound < b.bound {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 }
 
 // alignWave materialises one bound-ordered wave of memo misses in a

@@ -92,7 +92,7 @@ func TestClusterEquivalenceAcrossEngines(t *testing.T) {
 
 	// A tight cap guarantees cuts and pruning on the bigger clusters.
 	const cap = 16
-	ref := New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap, DisableClusterPruning: true})
+	ref := New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap, testNoClusterPrune: true})
 	defer ref.Close()
 
 	variants := []struct {
@@ -101,10 +101,10 @@ func TestClusterEquivalenceAcrossEngines(t *testing.T) {
 	}{
 		{"pruned par=1", New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap})},
 		{"pruned par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
-		{"unpruned par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap, DisableClusterPruning: true})},
+		{"unpruned par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap, testNoClusterPrune: true})},
 		{"pruned shards=1", NewSharded(sets[1], Options{Parallelism: 1, MaxCandidatesPerCluster: cap})},
 		{"pruned shards=4 par=8", NewSharded(sets[4], Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
-		{"unpruned shards=4", NewSharded(sets[4], Options{Parallelism: 1, MaxCandidatesPerCluster: cap, DisableClusterPruning: true})},
+		{"unpruned shards=4", NewSharded(sets[4], Options{Parallelism: 1, MaxCandidatesPerCluster: cap, testNoClusterPrune: true})},
 	}
 	for _, v := range variants {
 		defer v.e.Close()
@@ -176,7 +176,7 @@ func TestThresholdPruningFiresAndPreservesAnswers(t *testing.T) {
 	q.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
 
 	pruned := New(ix, Options{MaxCandidatesPerCluster: 12})
-	plain := New(ix, Options{MaxCandidatesPerCluster: 12, DisableClusterPruning: true})
+	plain := New(ix, Options{MaxCandidatesPerCluster: 12, testNoClusterPrune: true})
 	defer pruned.Close()
 	defer plain.Close()
 
@@ -265,7 +265,7 @@ func TestShortCandidateBarrierFiresAndPreservesAnswers(t *testing.T) {
 	q.AddTriple(rdf.Triple{S: vr("v"), P: iri("r"), O: iri("Hub")})
 	q.AddTriple(rdf.Triple{S: iri("Hub"), P: iri("s"), O: iri("Sink")})
 
-	plain := New(ix, Options{MaxCandidatesPerCluster: 20, DisableClusterPruning: true})
+	plain := New(ix, Options{MaxCandidatesPerCluster: 20, testNoClusterPrune: true})
 	defer plain.Close()
 	want, _, err := plain.QueryWithStats(q, 16)
 	if err != nil {
@@ -310,13 +310,14 @@ func TestShortCandidateBarrierFiresAndPreservesAnswers(t *testing.T) {
 }
 
 // TestSearchEquivalenceAcrossEngines is the equivalence suite for the
-// v2 search lane: over the Figure 7 LUBM workload mix, the
-// binding-vector frontier (precompiled pair scoring, incremental
-// (λ, ψ, degree) deltas, tight termination bound, interned join keys)
-// must return ranked answers bit-identical to the legacy SearchCompat
-// lane, sweeping SearchCompat on/off × parallelism (1, 8) × shards
-// (1, 4). The tight cluster cap keeps per-cluster frontiers rich so
-// the search loop, the tie horizon, and the join pass all engage.
+// search phase: over the Figure 7 LUBM workload mix, the binding-vector
+// frontier (precompiled pair scoring, incremental (λ, ψ, degree)
+// deltas, tight termination bound, interned join keys) must return
+// ranked answers bit-identical to the serial monolith's at every
+// parallelism (1, 8) and shard count (1, 4). The tight cluster cap
+// keeps per-cluster frontiers rich so the search loop, the tie horizon,
+// and the join pass all engage; TestAnswersMatchGoldenCorpus pins the
+// same answers against the frozen corpus.
 // Runs under -race via make check's race-hot pass.
 func TestSearchEquivalenceAcrossEngines(t *testing.T) {
 	g := datasets.LUBM{}.Generate(6000, 7)
@@ -337,19 +338,16 @@ func TestSearchEquivalenceAcrossEngines(t *testing.T) {
 	}
 
 	const cap = 16
-	ref := New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap, SearchCompat: true})
+	ref := New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap})
 	defer ref.Close()
 
 	variants := []struct {
 		name string
 		e    *Engine
 	}{
-		{"v2 par=1", New(ix, Options{Parallelism: 1, MaxCandidatesPerCluster: cap})},
-		{"v2 par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
-		{"compat par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap, SearchCompat: true})},
-		{"v2 shards=1", NewSharded(sets[1], Options{Parallelism: 1, MaxCandidatesPerCluster: cap})},
-		{"v2 shards=4 par=8", NewSharded(sets[4], Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
-		{"compat shards=4 par=8", NewSharded(sets[4], Options{Parallelism: 8, MaxCandidatesPerCluster: cap, SearchCompat: true})},
+		{"par=8", New(ix, Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
+		{"shards=1", NewSharded(sets[1], Options{Parallelism: 1, MaxCandidatesPerCluster: cap})},
+		{"shards=4 par=8", NewSharded(sets[4], Options{Parallelism: 8, MaxCandidatesPerCluster: cap})},
 	}
 	for _, v := range variants {
 		defer v.e.Close()
@@ -371,7 +369,7 @@ func TestSearchEquivalenceAcrossEngines(t *testing.T) {
 		// Confirm the incremental scorer actually reused parent pair
 		// values somewhere in the mix, so the equivalence is not
 		// exercising an empty frontier.
-		_, st, err := variants[0].e.QueryWithStats(q.Pattern, 10)
+		_, st, err := ref.QueryWithStats(q.Pattern, 10)
 		if err != nil {
 			t.Fatalf("%s explain: %v", q.ID, err)
 		}
@@ -386,41 +384,5 @@ func TestSearchEquivalenceAcrossEngines(t *testing.T) {
 	}
 	if !deltasSeen {
 		t.Error("no query in the mix reused incremental pair values; the search equivalence test is vacuous")
-	}
-}
-
-// TestClusterCompatMatchesWithoutCut pins the no-cut contract between
-// the legacy compat lane and the new engine: when the frontier is never
-// cut (a cap large enough that every retrieved candidate is aligned),
-// the signature pre-rank and the wave loop are pure reorderings of the
-// same work and the ranked answers must match the legacy engine bit for
-// bit. (Under a forced cut the lanes legitimately diverge — that is
-// exactly the satellite bugfixes — which TestPreRankDeficitCannotOutrankMissing
-// and TestPreRankSynonymSurvivesCut pin directly.)
-func TestClusterCompatMatchesWithoutCut(t *testing.T) {
-	g := datasets.LUBM{}.Generate(6000, 7)
-	base := filepath.Join(t.TempDir(), "lubm")
-	ix, err := index.Build(base, g, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	const cap = 4096 // budget 8192: far beyond any retrieval list here
-	legacy := New(ix, Options{Parallelism: 4, MaxCandidatesPerCluster: cap, ClusterCompat: true})
-	modern := New(ix, Options{Parallelism: 4, MaxCandidatesPerCluster: cap})
-	defer legacy.Close()
-	defer modern.Close()
-
-	for _, q := range workload.LUBMQueries() {
-		want, err := legacy.Query(q.Pattern, 10)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", q.ID, err)
-		}
-		got, err := modern.Query(q.Pattern, 10)
-		if err != nil {
-			t.Fatalf("%s modern: %v", q.ID, err)
-		}
-		assertSameAnswers(t, "modern", q.ID, want, got)
 	}
 }

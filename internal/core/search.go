@@ -1,14 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"sort"
 
 	"sama/internal/align"
-	"sama/internal/obs"
 	"sama/internal/paths"
-	"sama/internal/rdf"
 )
 
 // Search combines the clustered paths into the top-k answers (§5,
@@ -38,24 +35,6 @@ func (e *Engine) SearchContext(ctx context.Context, pre *Preprocessed, clusters 
 	return e.searchTraced(ctx, pre, clusters, k, nil)
 }
 
-// searchTraced is SearchContext recording two trace phases: "search"
-// (the Λ-ordered frontier expansion plus the hash-join completion pass)
-// and "assemble" (materialising the surviving combinations into
-// answers). A nil trace records nothing.
-//
-// Two lanes produce bit-identical ranked answers (pinned by the
-// cross-engine equivalence suite): the default binding-vector lane
-// (searchv2.go) and the legacy lane below, kept behind
-// Options.SearchCompat for old-vs-new benchmarking. RawChi routes to
-// the legacy lane: the v2 scorer precompiles the alignment-aware χ
-// only.
-func (e *Engine) searchTraced(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
-	if e.opts.SearchCompat || e.opts.RawChi {
-		return e.searchCompat(ctx, pre, clusters, k, tr)
-	}
-	return e.searchV2(ctx, pre, clusters, k, tr)
-}
-
 // splitEffective separates the clusters with candidates (the frontier's
 // dimensions) from the missed query paths, which contribute a fixed
 // deletion penalty to Λ and a fixed non-conformity penalty to Ψ.
@@ -81,8 +60,7 @@ type scored struct {
 }
 
 // resultList keeps the top-k combinations sorted by (score asc, degree
-// desc). Both search lanes rank through it, so admission and eviction
-// are identical by construction.
+// desc).
 type resultList struct {
 	k       int
 	results []scored
@@ -121,415 +99,14 @@ func (rl *resultList) add(s scored) []int {
 	return nil
 }
 
-// searchCompat is the legacy search lane (see searchTraced).
-func (e *Engine) searchCompat(ctx context.Context, pre *Preprocessed, clusters []Cluster, k int, tr *obs.Trace) []Answer {
-	sp := tr.Phase("search")
-	eff, missing, missed := splitEffective(clusters)
-	basePenalty := e.missPenalty(pre, missing, missed)
-	if len(eff) == 0 {
-		sp.End()
-		return nil // nothing matched at all
-	}
-
-	sc := newComboScorer(e, pre, eff)
-	psiMin := e.par.E * float64(len(sc.pairs))
-
-	frontier := &comboHeap{}
-	start := combo{idx: make([]int, len(eff))}
-	start.lambda = e.comboLambda(eff, start.idx) + basePenalty
-	heap.Push(frontier, start)
-	// visited replaces the old string-keyed seen map: combinations are
-	// identified by a 64-bit FNV-1a hash of their index vector, so
-	// dedup costs no per-combination string allocation. Successor keys
-	// are hashed in place (hashIdx's bump argument) without
-	// materialising the candidate slice.
-	visitedSet := map[uint64]struct{}{hashIdx(start.idx, -1): {}}
-
-	// Successor index slices are recycled through a free list: a slice
-	// leaves the list when pushed on the frontier and returns when its
-	// combination is evicted from (or never makes) the top k.
-	var idxFree [][]int
-	getIdx := func() []int {
-		if n := len(idxFree); n > 0 {
-			s := idxFree[n-1]
-			idxFree = idxFree[:n-1]
-			return s
-		}
-		return make([]int, len(eff))
-	}
-
-	rl := resultList{k: k}
-
-	visited := 0
-	tieVisits := 0
-	frontierPeak := frontier.Len()
-	maxVisits := e.opts.maxCombinations()
-	maxTies := e.opts.maxTieVisits()
-	cancelled := false
-	for frontier.Len() > 0 && visited < maxVisits {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		c := heap.Pop(frontier).(combo)
-		if w := rl.worst(); w >= 0 {
-			lb := c.lambda + psiMin
-			if lb > w {
-				// No unseen combination can reach the top k.
-				break
-			}
-			if lb == w {
-				// Ties can still win on the conformity-degree
-				// tie-break; explore a bounded number of them.
-				tieVisits++
-				if tieVisits > maxTies {
-					break
-				}
-			}
-		}
-		visited++
-
-		// Expand successors before handing c.idx to the result list —
-		// addResult may recycle the slice, and the expansion must read
-		// it. worst() is unaffected by the ordering: successors carry a
-		// lambda ≥ c.lambda, so the bound check at their own pop is
-		// what prunes them.
-		for ci := range c.idx {
-			if c.idx[ci]+1 >= len(eff[ci].Items) {
-				continue
-			}
-			h := hashIdx(c.idx, ci)
-			if _, ok := visitedSet[h]; ok {
-				continue
-			}
-			visitedSet[h] = struct{}{}
-			next := combo{idx: getIdx()}
-			copy(next.idx, c.idx)
-			next.idx[ci]++
-			next.lambda = e.comboLambda(eff, next.idx) + basePenalty
-			heap.Push(frontier, next)
-		}
-		if n := frontier.Len(); n > frontierPeak {
-			frontierPeak = n
-		}
-
-		psi, degree := sc.score(c.idx)
-		if recycled := rl.add(scored{
-			idx:    c.idx,
-			lambda: c.lambda,
-			psi:    psi,
-			degree: degree,
-			score:  c.lambda + psi,
-		}); recycled != nil {
-			idxFree = append(idxFree, recycled)
-		}
-	}
-
-	// Join pass: the heap explores combinations in Λ order, which can
-	// leave binding-consistent combinations (the ones with solid forest
-	// edges) beyond the tie-visit horizon when clusters are large.
-	// Construct them directly — a greedy hash-join on the shared query
-	// variables — and let them compete in the ranking. Skipped on
-	// cancellation: the join pass is bounded but not free, and a
-	// cancelled query wants its prefix now.
-	joined := 0
-	if !cancelled {
-		for _, idx := range e.joinCombos(eff, sc) {
-			h := hashIdx(idx, -1)
-			if _, ok := visitedSet[h]; ok {
-				continue
-			}
-			visitedSet[h] = struct{}{}
-			joined++
-			lambda := e.comboLambda(eff, idx) + basePenalty
-			psi, degree := sc.score(idx)
-			if recycled := rl.add(scored{
-				idx: idx, lambda: lambda, psi: psi, degree: degree, score: lambda + psi,
-			}); recycled != nil {
-				idxFree = append(idxFree, recycled)
-			}
-		}
-	}
-	sp.Set("visited", int64(visited))
-	sp.Set("joined", int64(joined))
-	sp.Set("psi_memo_hits", sc.hits)
-	sp.Set("frontier_peak", int64(frontierPeak))
-	if cancelled {
-		sp.Set("cancelled", 1)
-	}
-	sp.End()
-
-	// Materialise only the surviving combinations.
-	spA := tr.Phase("assemble")
-	answers := make([]Answer, len(rl.results))
-	for i, s := range rl.results {
-		answers[i] = e.buildAnswer(eff, s.idx, missing, s.lambda, s.psi, s.degree)
-	}
-	spA.Set("answers", int64(len(answers)))
-	spA.End()
-	return answers
-}
-
-// Join-pass budgets, shared by both lanes: seeds per intersection-graph
-// pair, seeds per query, and items inspected per cluster while greedily
-// extending a seed.
+// Join-pass budgets: seeds per intersection-graph pair, seeds per
+// query, and items inspected per cluster while greedily extending a
+// seed.
 const (
 	maxSeedsPerPair = 48
 	maxTotalSeeds   = 192
 	maxChecksPerCol = 512
 )
-
-// joinCompatible reports whether an item's substitution agrees with the
-// bindings accumulated so far.
-func joinCompatible(bound map[string]rdf.Term, item ClusterItem) bool {
-	for name, val := range item.Alignment.Subst {
-		if prev, ok := bound[name]; ok && prev != val {
-			return false
-		}
-	}
-	return true
-}
-
-// joinExtend completes a partial combo over the remaining clusters,
-// greedily taking the best-cost compatible item per cluster.
-func joinExtend(eff []Cluster, idx []int, have map[int]bool, bound map[string]rdf.Term) bool {
-	for ci := range eff {
-		if have[ci] {
-			continue
-		}
-		found := -1
-		checks := len(eff[ci].Items)
-		if checks > maxChecksPerCol {
-			checks = maxChecksPerCol
-		}
-		for ii := 0; ii < checks; ii++ {
-			if joinCompatible(bound, eff[ci].Items[ii]) {
-				found = ii
-				break
-			}
-		}
-		if found < 0 {
-			return false
-		}
-		idx[ci] = found
-		for name, val := range eff[ci].Items[found].Alignment.Subst {
-			if _, dup := bound[name]; !dup {
-				bound[name] = val
-			}
-		}
-	}
-	return true
-}
-
-// joinCombos builds combinations whose per-path substitutions agree on
-// the shared query variables: a hash-join over each intersection-graph
-// pair (probe one cluster's shared-variable bindings into the other's),
-// with each match greedily extended to the remaining clusters.
-func (e *Engine) joinCombos(eff []Cluster, sc *comboScorer) [][]int {
-	if len(eff) < 2 || len(sc.pairs) == 0 {
-		return nil
-	}
-	var out [][]int
-	for _, pr := range sc.pairs {
-		if len(out) >= maxTotalSeeds {
-			break
-		}
-		// Shared variables of this query-path pair.
-		var shared []string
-		for _, x := range paths.CommonNodes(pr.qi, pr.qj) {
-			if x.Kind == rdf.Var {
-				shared = append(shared, x.Value)
-			}
-		}
-		if len(shared) == 0 {
-			continue
-		}
-		bindingKey := func(item ClusterItem) (string, bool) {
-			var b []byte
-			for _, v := range shared {
-				val, ok := item.Alignment.Subst[v]
-				if !ok {
-					return "", false
-				}
-				b = append(b, val.Label()...)
-				b = append(b, 0x1f)
-			}
-			return string(b), true
-		}
-		// Build side: the smaller cluster of the pair.
-		build, probe := pr.ci, pr.cj
-		if len(eff[probe].Items) < len(eff[build].Items) {
-			build, probe = probe, build
-		}
-		index := make(map[string]int, len(eff[build].Items))
-		for ii, item := range eff[build].Items {
-			if key, ok := bindingKey(item); ok {
-				if _, dup := index[key]; !dup {
-					index[key] = ii // best-cost item wins (items sorted)
-				}
-			}
-		}
-		seeds := 0
-		for ii, item := range eff[probe].Items {
-			if seeds >= maxSeedsPerPair || len(out) >= maxTotalSeeds {
-				break
-			}
-			key, ok := bindingKey(item)
-			if !ok {
-				continue
-			}
-			jj, hit := index[key]
-			if !hit {
-				continue
-			}
-			idx := make([]int, len(eff))
-			idx[probe], idx[build] = ii, jj
-			bound := make(map[string]rdf.Term, 8)
-			for name, val := range item.Alignment.Subst {
-				bound[name] = val
-			}
-			for name, val := range eff[build].Items[jj].Alignment.Subst {
-				if _, dup := bound[name]; !dup {
-					bound[name] = val
-				}
-			}
-			if joinExtend(eff, idx, map[int]bool{probe: true, build: true}, bound) {
-				out = append(out, idx)
-				seeds++
-			}
-		}
-	}
-	return out
-}
-
-// comboScorer memoises the pairwise ψ/degree contributions: the same
-// (cluster, item) pair recurs across thousands of combinations, but its
-// conformity only depends on the two chosen items.
-//
-// The memo is addressed by a flat linear index off[pi] + ii*stride[pi]
-// + jj — collision-free by construction for any cluster size, unlike
-// the bit-packed uint64 key it replaces (pi<<40|ii<<20|jj silently
-// collided once a cluster passed 2^20 items). Small key spaces use a
-// dense value slice with a presence bitset (no hashing, no per-entry
-// allocation); spaces past denseMemoEntries fall back to a map over
-// the same linear index.
-type comboScorer struct {
-	e   *Engine
-	eff []Cluster
-	// pairs are the intersection-graph edges whose two endpoints both
-	// have an effective cluster, as (effective-cluster index, query
-	// path) pairs.
-	pairs []scorerPair
-	// off and stride address pair pi's (ii, jj) block in the flat key
-	// space: key = off[pi] + ii*stride[pi] + jj.
-	off    []int
-	stride []int
-	// Dense representation (small key spaces): vals holds (ψ, degree)
-	// at 2*key, set bit key marks presence.
-	vals []float64
-	set  []uint64
-	// Sparse fallback (huge key spaces), keyed by the linear index.
-	memo map[uint64][2]float64
-	// hits counts memoised pair lookups served without re-scoring, for
-	// the search span's psi_memo_hits attribute.
-	hits int64
-}
-
-// denseMemoEntries bounds the dense memo: past 2^20 (ψ, degree) slots
-// (16 MiB of values) the scorer switches to the sparse map, which only
-// pays for combinations actually visited.
-const denseMemoEntries = 1 << 20
-
-type scorerPair struct {
-	ci, cj int
-	qi, qj paths.Path
-}
-
-func newComboScorer(e *Engine, pre *Preprocessed, eff []Cluster) *comboScorer {
-	byQueryIndex := make(map[int]int, len(eff))
-	for i, cl := range eff {
-		byQueryIndex[cl.QueryIndex] = i
-	}
-	sc := &comboScorer{e: e, eff: eff}
-	for qi, edges := range pre.IG {
-		ci, ok := byQueryIndex[qi]
-		if !ok {
-			continue
-		}
-		for _, edge := range edges {
-			if edge.To < qi {
-				continue
-			}
-			cj, ok := byQueryIndex[edge.To]
-			if !ok {
-				continue
-			}
-			sc.pairs = append(sc.pairs, scorerPair{
-				ci: ci, cj: cj,
-				qi: pre.Paths[qi], qj: pre.Paths[edge.To],
-			})
-		}
-	}
-	sc.off = make([]int, len(sc.pairs))
-	sc.stride = make([]int, len(sc.pairs))
-	total := 0
-	for pi, pr := range sc.pairs {
-		sc.off[pi] = total
-		sc.stride[pi] = len(eff[pr.cj].Items)
-		total += len(eff[pr.ci].Items) * len(eff[pr.cj].Items)
-	}
-	if total <= denseMemoEntries {
-		sc.vals = make([]float64, 2*total)
-		sc.set = make([]uint64, (total+63)/64)
-	} else {
-		sc.memo = make(map[uint64][2]float64)
-	}
-	return sc
-}
-
-// score returns (Ψ, degree) for the combination.
-func (sc *comboScorer) score(idx []int) (float64, float64) {
-	var psi, degree float64
-	for pi, pr := range sc.pairs {
-		ii, jj := idx[pr.ci], idx[pr.cj]
-		key := sc.off[pi] + ii*sc.stride[pi] + jj
-		if sc.vals != nil {
-			if sc.set[key>>6]&(1<<(uint(key)&63)) != 0 {
-				sc.hits++
-				psi += sc.vals[2*key]
-				degree += sc.vals[2*key+1]
-				continue
-			}
-		} else if v, ok := sc.memo[uint64(key)]; ok {
-			sc.hits++
-			psi += v[0]
-			degree += v[1]
-			continue
-		}
-		a := sc.eff[pr.ci].Items[ii]
-		b := sc.eff[pr.cj].Items[jj]
-		var p, d float64
-		if sc.e.opts.RawChi {
-			p = align.Psi(pr.qi, pr.qj, a.Path, b.Path, sc.e.par)
-			d = align.PsiDegree(pr.qi, pr.qj, a.Path, b.Path)
-		} else {
-			p = align.PsiAligned(pr.qi, pr.qj, a.Alignment.Subst, b.Alignment.Subst,
-				a.Path, b.Path, sc.e.par)
-			d = align.PsiDegreeAligned(pr.qi, pr.qj, a.Alignment.Subst, b.Alignment.Subst,
-				a.Path, b.Path)
-		}
-		if sc.vals != nil {
-			sc.vals[2*key] = p
-			sc.vals[2*key+1] = d
-			sc.set[key>>6] |= 1 << (uint(key) & 63)
-		} else {
-			sc.memo[uint64(key)] = [2]float64{p, d}
-		}
-		psi += p
-		degree += d
-	}
-	return psi, degree
-}
 
 // missPenalty prices the query paths with empty clusters: each costs its
 // full deletion (A per node, C per edge) plus the worst-case ψ for every
@@ -550,15 +127,6 @@ func (e *Engine) missPenalty(pre *Preprocessed, missing []paths.Path, missed map
 		}
 	}
 	return pen
-}
-
-// comboLambda sums the alignment costs of the selected items.
-func (e *Engine) comboLambda(eff []Cluster, idx []int) float64 {
-	var sum float64
-	for ci, ii := range idx {
-		sum += eff[ci].Items[ii].Cost()
-	}
-	return sum
 }
 
 // buildAnswer materialises one scored combination.
@@ -584,17 +152,13 @@ func (e *Engine) buildAnswer(eff []Cluster, idx []int, missing []paths.Path, lam
 	return ans
 }
 
-// combo is one combination of per-cluster candidate indices. The
-// legacy lane fills idx and lambda only; the v2 lane additionally
-// carries the combination's conformity sums and the per-pair (ψ,
-// degree) values they were summed from (pv, interleaved), so a
-// successor re-scores only the pairs incident to its bumped cluster.
-// Both lanes heap-order by λ alone and push successors in the same
-// cluster order, so their pop sequences are identical.
+// combo is one combination of per-cluster candidate indices with its
+// λ, its conformity sums, and the per-pair (ψ, degree) values they were
+// summed from (pv, interleaved), so a successor re-scores only the
+// pairs incident to its bumped cluster.
 type combo struct {
-	idx    []int
-	lambda float64
-
+	idx         []int
+	lambda      float64
 	psi, degree float64
 	pv          []float64
 }
@@ -604,8 +168,7 @@ type combo struct {
 // (cluster sizes are bounded well below 2^32 by maxCandidatesBound).
 // bump ≥ 0 hashes the vector with idx[bump] incremented by one — the
 // successor's identity without materialising its slice; bump < 0
-// hashes idx as is. Replaces the varint string keys the frontier's
-// seen map used to allocate per successor.
+// hashes idx as is.
 func hashIdx(idx []int, bump int) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
@@ -622,18 +185,4 @@ func hashIdx(idx []int, bump int) uint64 {
 		h = (h ^ uint64((v>>24)&0xff)) * fnvPrime
 	}
 	return h
-}
-
-type comboHeap []combo
-
-func (h comboHeap) Len() int           { return len(h) }
-func (h comboHeap) Less(i, j int) bool { return h[i].lambda < h[j].lambda }
-func (h comboHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *comboHeap) Push(x any)        { *h = append(*h, x.(combo)) }
-func (h *comboHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -36,12 +36,9 @@ type Shard interface {
 	Epoch() uint64
 	NumPaths() int
 	Live(id index.PathID) bool
-	PathLength(id index.PathID) int
-	ContainsLabel(id index.PathID, label string) bool
 	Summaries(ids []index.PathID) ([]index.PathSummary, error)
 	LabelProbeMask(label string) uint64
 	PathsBySink(label string) []index.PathID
-	PathsBySinkExact(label string) []index.PathID
 	PathsByLabel(label string) []index.PathID
 	PathsByAllLabels(labels []string) []index.PathID
 	ReadPathsBatched(ctx context.Context, ids []index.PathID) ([]paths.Path, error)
